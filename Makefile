@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet lint bench-smoke bench-json golden serve load-smoke crash-smoke race-jobs clean
+.PHONY: all build test race vet lint bench-smoke bench-json perfbench-test golden serve load-smoke crash-smoke race-jobs clean
 
 # The trajectory snapshot written by bench-json; bump the index per PR so
 # history accumulates (BENCH_2.json was the first, from the kernel-engine PR;
@@ -66,6 +66,12 @@ bench-json:
 		-benchmem -benchtime 3x . && \
 	  $(GO) test -run '^$$' -bench 'BenchmarkInferReplicas|BenchmarkBusPublish' -benchmem -benchtime 2s . ; } \
 		| $(GO) run ./cmd/benchjson > $(BENCH_JSON)
+
+# Unit tests of the repository benchmark (perfbench/ is its own module, so
+# `go test ./...` at the root does not reach it): quantiles, slice credit,
+# span nesting and the metric names BENCHMARK.json declares.
+perfbench-test:
+	cd perfbench && $(GO) test .
 
 # Regenerate the pinned figure/table outputs after an intentional change to
 # the scheduler or simulator models. Inspect the git diff before committing.

@@ -281,49 +281,58 @@ func (l *Linear) Params() []*Param { return []*Param{l.Weight, l.Bias} }
 // --- ReLU ---------------------------------------------------------------
 
 // ReLU is the rectified linear activation. It records the sign mask — the
-// 1-bit-per-element information MBS stashes instead of the activation.
+// 1-bit-per-element information MBS stashes instead of the activation —
+// one byte per element, 1 where the input was kept.
 type ReLU struct {
-	mask []bool
+	mask []uint8
 	out  outBufs
 	dx   *tensor.Tensor
 }
 
-// Forward clamps negatives to zero.
+// posInfBits is the bit pattern of +Inf, the largest positive non-NaN.
+const posInfBits = 0x7FF0000000000000
+
+// reluKeep returns all ones when v > 0 and zero otherwise (every v <= 0,
+// -0 and NaN included), without a branch on v: read as a signed integer,
+// the bits of v lie in [1, posInfBits] exactly when v > 0, and either
+// bound failing sets the sign bit of (b-1) | (posInfBits-b).
+func reluKeep(v float64) uint64 {
+	b := int64(math.Float64bits(v))
+	return ^uint64(((b - 1) | (posInfBits - b)) >> 63)
+}
+
+// Forward clamps negatives to zero. On the GEMM engine it selects by
+// bitmask instead of branching on the sign, which is random per element:
+// a dropped element becomes +0.
 func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	if reuseBuffers() {
 		out := ensureLike(r.out.sel(train), x)
 		if train {
 			if len(r.mask) != len(x.Data) {
-				r.mask = make([]bool, len(x.Data))
+				r.mask = make([]uint8, len(x.Data))
 			}
+			od, mask := out.Data[:len(x.Data)], r.mask[:len(x.Data)]
 			for i, v := range x.Data {
-				if v > 0 {
-					out.Data[i] = v
-					r.mask[i] = true
-				} else {
-					out.Data[i] = 0
-					r.mask[i] = false
-				}
+				keep := reluKeep(v)
+				od[i] = math.Float64frombits(math.Float64bits(v) & keep)
+				mask[i] = uint8(keep & 1)
 			}
 		} else {
+			od := out.Data[:len(x.Data)]
 			for i, v := range x.Data {
-				if v > 0 {
-					out.Data[i] = v
-				} else {
-					out.Data[i] = 0
-				}
+				od[i] = math.Float64frombits(math.Float64bits(v) & reluKeep(v))
 			}
 		}
 		return out
 	}
 	out := x.Clone()
 	if train {
-		r.mask = make([]bool, len(x.Data))
+		r.mask = make([]uint8, len(x.Data))
 	}
 	for i, v := range x.Data {
 		if v > 0 {
 			if train {
-				r.mask[i] = true
+				r.mask[i] = 1
 			}
 		} else {
 			out.Data[i] = 0
@@ -332,22 +341,20 @@ func (r *ReLU) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 	return out
 }
 
-// Backward gates the gradient by the stored sign mask.
+// Backward gates the gradient by the stored sign mask (a bitmask select on
+// the GEMM engine: -uint64(1) is all ones).
 func (r *ReLU) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	if reuseBuffers() {
 		dx := ensureLike(&r.dx, dy)
+		dxd, mask := dx.Data[:len(dy.Data)], r.mask[:len(dy.Data)]
 		for i, g := range dy.Data {
-			if r.mask[i] {
-				dx.Data[i] = g
-			} else {
-				dx.Data[i] = 0
-			}
+			dxd[i] = math.Float64frombits(math.Float64bits(g) & -uint64(mask[i]))
 		}
 		return dx
 	}
 	dx := dy.Clone()
 	for i := range dx.Data {
-		if !r.mask[i] {
+		if r.mask[i] == 0 {
 			dx.Data[i] = 0
 		}
 	}

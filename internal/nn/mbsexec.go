@@ -27,8 +27,11 @@ import (
 // receives its per-span addend in the same ascending span order, each addend
 // computed from bit-identical inputs (deterministic kernels + per-sample
 // GroupNorm statistics), so the accumulated sums match to the last bit.
-// BatchNorm models still run (they are the negative control) but their
-// running statistics see each non-last group's forward twice per step.
+// BatchNorm models run too (they are the negative control: sub-batch
+// statistics differ from full-batch ones). The backward-phase re-forward
+// freezes their running-statistics update, so each sub-batch moves the
+// running statistics exactly once per step, in span order — bit-identical
+// to the layer-by-layer path.
 //
 // All intra-group buffers live at planned offsets of one shared float slab
 // sized for the largest group; per-unit input gradients collapse into two
@@ -63,6 +66,9 @@ type execGroup struct {
 	first, last int
 	sub, rem    *mbsBundle
 	outElems    int // per-sample elems of the group's output
+	// bns are the group's BatchNorm layers, residual branches included;
+	// their running statistics are frozen while the group recomputes.
+	bns []*BatchNorm2D
 	// pipeline state; nil conv = no pipelining for this group
 	conv           *Conv2D
 	colSub, colRem int
@@ -142,7 +148,7 @@ func buildBundle(units []unitSpec, first, last int, arena []float64) *mbsBundle 
 		for _, a := range units[i].aux {
 			switch {
 			case a.installB != nil:
-				f, buf := a.installB, make([]bool, a.elems)
+				f, buf := a.installB, make([]uint8, a.elems)
 				installs = append(installs, func() { f(buf) })
 			case a.installI != nil:
 				f, buf := a.installI, make([]int, a.elems)
@@ -217,6 +223,9 @@ func newMBSExec(m *Model, p *MBSPlan) (*mbsExec, error) {
 		outSample := unitsSub[g.Last].outShape[1:]
 		eg.outElems = prodShape(outSample)
 		eg.sub = buildBundle(unitsSub, g.First, g.Last, e.arena)
+		for _, l := range m.Net.Layers[g.First : g.Last+1] {
+			eg.bns = appendBatchNorms(eg.bns, l)
+		}
 		if rem != 0 {
 			eg.rem = buildBundle(unitsRem, g.First, g.Last, e.arena)
 		}
@@ -294,7 +303,9 @@ func newMBSExec(m *Model, p *MBSPlan) (*mbsExec, error) {
 	}
 	e.fnBackward = func(si int, sp mbsSpan) {
 		g := e.curGroup
+		e.setStatsFrozen(g, true)
 		e.forwardGroup(g, e.inputView(g, si)) // recompute intra-group state
+		e.setStatsFrozen(g, false)
 		dx := e.backwardGroup(g, e.dyViews[g][si])
 		if g > 0 {
 			copy(e.dGradRows(g-1, sp), dx.Data)
@@ -338,6 +349,33 @@ func (e *mbsExec) lossGradFor(size int) *tensor.Tensor {
 func (e *mbsExec) dGradRows(b int, sp mbsSpan) []float64 {
 	es := e.groups[b].outElems
 	return e.dBound[b%2][sp.from*es : sp.to*es]
+}
+
+// appendBatchNorms appends the BatchNorm layers inside l, descending into
+// residual branches.
+func appendBatchNorms(dst []*BatchNorm2D, l Layer) []*BatchNorm2D {
+	switch v := l.(type) {
+	case *BatchNorm2D:
+		dst = append(dst, v)
+	case *Residual:
+		for _, bl := range v.Main.Layers {
+			dst = appendBatchNorms(dst, bl)
+		}
+		if v.Shortcut != nil {
+			for _, bl := range v.Shortcut.Layers {
+				dst = appendBatchNorms(dst, bl)
+			}
+		}
+	}
+	return dst
+}
+
+// setStatsFrozen freezes or thaws the running statistics of group g's
+// BatchNorm layers.
+func (e *mbsExec) setStatsFrozen(g int, frozen bool) {
+	for _, b := range e.groups[g].bns {
+		b.freezeStats = frozen
+	}
 }
 
 func (e *mbsExec) forwardGroup(g int, in *tensor.Tensor) *tensor.Tensor {

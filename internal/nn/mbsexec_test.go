@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -88,6 +89,45 @@ func TestGroupedMBSBitIdenticalToLayerByLayer(t *testing.T) {
 	}
 	if !seen[1] {
 		t.Fatal("1<<30 budget should yield a single group")
+	}
+}
+
+// TestGroupedMBSGradientsAcrossThreads pins the three GN gradient paths end
+// to end at every thread count: the grouped executor (multi-group, ragged
+// sub-batches) equals the layer-by-layer MBS path bit for bit, both equal
+// their threads=1 result bit for bit, and both match full-batch gradients
+// (which differ only in how the loss gradient is scaled) to 1e-9.
+func TestGroupedMBSGradientsAcrossThreads(t *testing.T) {
+	defer tensor.SetEngine(tensor.SetEngine(tensor.EngineGEMM))
+	defer tensor.SetThreads(tensor.SetThreads(1))
+	const sub = 3
+	var ref map[string]*tensor.Tensor
+	for _, threads := range []int{1, 2, 4} {
+		tensor.SetThreads(threads)
+		m, x, labels := buildTestModel(41)
+		m.AccumulateGradsFull(x, labels)
+		full := grabGrads(m)
+		m.AccumulateGradsMBS(x, labels, sub)
+		layered := grabGrads(m)
+		plan, err := m.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: sub, BudgetBytes: minGroupBudget(t, m, x.Shape, sub)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := m.SetMBSPlan(plan); err != nil {
+			t.Fatal(err)
+		}
+		m.AccumulateGradsMBS(x, labels, sub)
+		m.ClearMBSPlan()
+		expectBitIdentical(t, m, layered, fmt.Sprintf("threads=%d grouped vs layer-by-layer", threads))
+		if ref == nil {
+			ref = layered
+		}
+		expectBitIdentical(t, m, ref, fmt.Sprintf("threads=%d vs threads=1", threads))
+		for _, p := range m.Params() {
+			if d := p.Grad.MaxAbsDiff(full[p.Name]); d > 1e-9 {
+				t.Fatalf("threads=%d: %s MBS gradient differs from full batch by %g", threads, p.Name, d)
+			}
+		}
 	}
 }
 
@@ -205,6 +245,70 @@ func TestGroupedMBSBatchNormStillDiverges(t *testing.T) {
 	}
 }
 
+// TestGroupedMBSBatchNormRunningStats: the backward-phase recompute must be
+// stat-neutral. After one grouped train step on a multi-group plan, every
+// BatchNorm layer's running mean and variance (residual branches included)
+// equal the layer-by-layer MBS path's bit for bit, and so do the updated
+// parameters.
+func TestGroupedMBSBatchNormRunningStats(t *testing.T) {
+	defer tensor.SetEngine(tensor.SetEngine(tensor.EngineGEMM))
+	builds := map[string]func(*rand.Rand) *Model{
+		"cnn":    func(r *rand.Rand) *Model { return BuildSmallCNN(r, 3, 16, 8, NormBatch, 0) },
+		"resnet": func(r *rand.Rand) *Model { return BuildSmallResNet(r, 3, 16, 8, NormBatch, 0) },
+	}
+	for name, build := range builds {
+		t.Run(name, func(t *testing.T) {
+			grouped, layered := build(rand.New(rand.NewSource(39))), build(rand.New(rand.NewSource(39)))
+			rng := rand.New(rand.NewSource(40))
+			x := tensor.New(8, 3, 16, 16)
+			x.Randn(rng, 1)
+			labels := make([]int, 8)
+			for i := range labels {
+				labels[i] = rng.Intn(8)
+			}
+			const sub = 3
+			plan, err := grouped.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: sub, BudgetBytes: minGroupBudget(t, grouped, x.Shape, sub)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(plan.Groups) < 2 {
+				t.Fatalf("plan has %d group(s); the recompute needs at least 2", len(plan.Groups))
+			}
+			if err := grouped.SetMBSPlan(plan); err != nil {
+				t.Fatal(err)
+			}
+			defer grouped.ClearMBSPlan()
+			grouped.TrainStepMBS(x, labels, sub, &SGD{LR: 0.05, Momentum: 0.9})
+			layered.TrainStepMBS(x, labels, sub, &SGD{LR: 0.05, Momentum: 0.9})
+
+			var gb, lb []*BatchNorm2D
+			for i := range grouped.Net.Layers {
+				gb = appendBatchNorms(gb, grouped.Net.Layers[i])
+				lb = appendBatchNorms(lb, layered.Net.Layers[i])
+			}
+			if len(gb) == 0 {
+				t.Fatal("model has no BatchNorm layers")
+			}
+			for i := range gb {
+				for c := range gb[i].RunningMean {
+					if gb[i].RunningMean[c] != lb[i].RunningMean[c] || gb[i].RunningVar[c] != lb[i].RunningVar[c] {
+						t.Fatalf("%s channel %d: running stats (%g, %g) after a grouped step, layer-by-layer (%g, %g)",
+							gb[i].Gamma.Name, c, gb[i].RunningMean[c], gb[i].RunningVar[c], lb[i].RunningMean[c], lb[i].RunningVar[c])
+					}
+				}
+			}
+			pg, pl := grouped.Params(), layered.Params()
+			for i := range pg {
+				for j := range pg[i].Data.Data {
+					if pg[i].Data.Data[j] != pl[i].Data.Data[j] {
+						t.Fatalf("%s: parameters differ after one grouped step", pg[i].Name)
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestGroupedMBSTrainStepInterleaving: full-batch steps between grouped MBS
 // steps resize the layers' persistent buffers, so the executor must
 // re-install its arena views — whole optimizer trajectories stay bit-equal
@@ -270,7 +374,7 @@ func TestGroupedMBSFallback(t *testing.T) {
 // TestGroupedMBSZeroAlloc is the scratch-arena contract across group
 // boundaries (and the whole grouped step): after warm-up, a grouped MBS
 // train step — ragged sub-batches, multi-group plan, fp32 and fp16, with and
-// without the pipeline — allocates nothing.
+// without the pipeline, at 1, 2 and 4 kernel threads — allocates nothing.
 func TestGroupedMBSZeroAlloc(t *testing.T) {
 	if tensor.RaceEnabled {
 		t.Skip("race instrumentation allocates; alloc counts only hold without -race")
@@ -291,29 +395,34 @@ func TestGroupedMBSZeroAlloc(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			m, x, labels := buildTestModel(37)
-			const sub = 3
-			budget := tc.budget
-			if budget == 0 {
-				budget = 4 * minGroupBudget(t, m, x.Shape, sub)
-			}
-			plan, err := m.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: sub, BudgetBytes: budget, Pipeline: tc.pipeline})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := m.SetMBSPlan(plan); err != nil {
-				t.Fatal(err)
-			}
-			defer m.ClearMBSPlan()
-			if tc.fp16 {
-				m.SetFP16Weights(true)
-			}
-			opt := &SGD{LR: 0.01, Momentum: 0.9}
-			m.TrainStepMBS(x, labels, sub, opt) // warm arenas + pooled scratch
-			m.TrainStepMBS(x, labels, sub, opt)
-			if allocs := testing.AllocsPerRun(5, func() { m.TrainStepMBS(x, labels, sub, opt) }); allocs != 0 {
-				t.Errorf("grouped MBS train step (%s, groups=%d) allocates %v/op after warm-up, want 0",
-					tc.name, len(plan.Groups), allocs)
+			for _, threads := range []int{1, 2, 4} {
+				tensor.SetThreads(threads)
+				t.Run(fmt.Sprintf("threads=%d", threads), func(t *testing.T) {
+					m, x, labels := buildTestModel(37)
+					const sub = 3
+					budget := tc.budget
+					if budget == 0 {
+						budget = 4 * minGroupBudget(t, m, x.Shape, sub)
+					}
+					plan, err := m.PlanMBS(x.Shape, MBSPlanConfig{SubBatch: sub, BudgetBytes: budget, Pipeline: tc.pipeline})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := m.SetMBSPlan(plan); err != nil {
+						t.Fatal(err)
+					}
+					defer m.ClearMBSPlan()
+					if tc.fp16 {
+						m.SetFP16Weights(true)
+					}
+					opt := &SGD{LR: 0.01, Momentum: 0.9}
+					m.TrainStepMBS(x, labels, sub, opt) // warm arenas + pooled scratch
+					m.TrainStepMBS(x, labels, sub, opt)
+					if allocs := testing.AllocsPerRun(5, func() { m.TrainStepMBS(x, labels, sub, opt) }); allocs != 0 {
+						t.Errorf("grouped MBS train step (%s, groups=%d, threads=%d) allocates %v/op after warm-up, want 0",
+							tc.name, len(plan.Groups), threads, allocs)
+					}
+				})
 			}
 		})
 	}

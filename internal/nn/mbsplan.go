@@ -118,7 +118,7 @@ type arenaBuf struct {
 type auxBuf struct {
 	elems     int
 	elemBytes int
-	installB  func([]bool)
+	installB  func([]uint8)
 	installI  func([]int)
 	installF  func([]float64)
 }
@@ -127,11 +127,11 @@ type auxBuf struct {
 // counts as a single unit; its branch layers are folded in with every buffer
 // retained, since branch gradients interleave with the merge).
 type unitSpec struct {
-	label    string
-	inShape  []int // including batch dim
-	outShape []int
-	bufs     []arenaBuf
-	aux      []auxBuf
+	label       string
+	inShape     []int // including batch dim
+	outShape    []int
+	bufs        []arenaBuf
+	aux         []auxBuf
 	weightBytes int64
 	// conv is set when the unit is a plain Conv2D — the pipeline's prepack
 	// target when the unit opens a group. colElems is its im2col length.
@@ -258,7 +258,7 @@ func walkUnit(l Layer, in []int, retainAll bool) (unitSpec, error) {
 				installT: func(t *tensor.Tensor) { r.dx = t }},
 		)
 		u.aux = append(u.aux, auxBuf{elems: prodShape(in), elemBytes: 1,
-			installB: func(b []bool) { r.mask = b }})
+			installB: func(b []uint8) { r.mask = b }})
 
 	case *MaxPool2:
 		if err := need(4); err != nil {
@@ -376,7 +376,7 @@ func walkUnit(l Layer, in []int, retainAll bool) (unitSpec, error) {
 				installT: func(t *tensor.Tensor) { r.dx = t }},
 		)
 		u.aux = append(u.aux, auxBuf{elems: prodShape(u.outShape), elemBytes: 1,
-			installB: func(b []bool) { r.post.mask = b }})
+			installB: func(b []uint8) { r.post.mask = b }})
 
 	default:
 		return u, fmt.Errorf("nn: mbs plan: unsupported layer type %T", l)

@@ -96,6 +96,53 @@ func TestReLUForwardBackward(t *testing.T) {
 	}
 }
 
+// TestReLUSpecialValues: the bitmask select keeps exactly the v > 0
+// inputs and maps every other one — -0, NaN of either sign, -Inf,
+// negative subnormals — to +0, in training and evaluation forwards and in
+// the backward gate, matching the sign test bit for bit on both engines.
+func TestReLUSpecialValues(t *testing.T) {
+	defer tensor.SetEngine(tensor.CurrentEngine())
+	vals := []float64{
+		0, math.Copysign(0, -1), math.NaN(), -math.NaN(), math.Inf(1), math.Inf(-1),
+		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64,
+		math.MaxFloat64, -math.MaxFloat64, 1, -1, 0x1p-1022, -0x1p-1022,
+	}
+	want := func(v float64) uint64 {
+		if v > 0 {
+			return math.Float64bits(v)
+		}
+		return 0
+	}
+	for _, e := range []tensor.Engine{tensor.EngineGEMM, tensor.EngineNaive} {
+		tensor.SetEngine(e)
+		for _, train := range []bool{true, false} {
+			r := &ReLU{}
+			x := tensor.FromSlice(append([]float64(nil), vals...), 1, len(vals))
+			y := r.Forward(x, train)
+			for i, v := range vals {
+				if got := math.Float64bits(y.Data[i]); got != want(v) {
+					t.Errorf("%v train=%v: relu(%g) bits %#x, want %#x", e, train, v, got, want(v))
+				}
+			}
+			if !train {
+				continue
+			}
+			// Gate a gradient of special values by the recorded mask.
+			dy := tensor.FromSlice(append([]float64(nil), vals...), 1, len(vals))
+			dx := r.Backward(dy)
+			for i, v := range vals {
+				g, wantBits := dy.Data[i], uint64(0)
+				if v > 0 {
+					wantBits = math.Float64bits(g)
+				}
+				if got := math.Float64bits(dx.Data[i]); got != wantBits {
+					t.Errorf("%v: backward at input %g passes bits %#x, want %#x", e, v, got, wantBits)
+				}
+			}
+		}
+	}
+}
+
 func TestSoftmaxCrossEntropy(t *testing.T) {
 	// Uniform logits: loss = log(K), gradient rows sum to 0.
 	logits := tensor.New(2, 4)

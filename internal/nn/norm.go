@@ -25,6 +25,11 @@ type BatchNorm2D struct {
 	// LastPreActMean records the mean of the normalized output (the
 	// "pre-activation mean" curve of Fig. 6's right panels).
 	LastPreActMean float64
+	// freezeStats skips the running-statistics update of training
+	// forwards. The grouped MBS executor sets it while it re-forwards a
+	// sub-batch to recompute activations, so each sub-batch moves the
+	// running statistics once per step, as on the layer-by-layer path.
+	freezeStats bool
 }
 
 // NewBatchNorm2D builds a BN layer with gamma=1, beta=0.
@@ -107,8 +112,10 @@ func (b *BatchNorm2D) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 		variance := vsum / cnt
 		b.mean[ci] = mean
 		b.invStd[ci] = 1 / math.Sqrt(variance+normEps)
-		b.RunningMean[ci] = b.Momentum*b.RunningMean[ci] + (1-b.Momentum)*mean
-		b.RunningVar[ci] = b.Momentum*b.RunningVar[ci] + (1-b.Momentum)*variance
+		if !b.freezeStats {
+			b.RunningMean[ci] = b.Momentum*b.RunningMean[ci] + (1-b.Momentum)*mean
+			b.RunningVar[ci] = b.Momentum*b.RunningVar[ci] + (1-b.Momentum)*variance
+		}
 
 		g, be := b.Gamma.Data.Data[ci], b.Beta.Data.Data[ci]
 		for ni := 0; ni < n; ni++ {
@@ -224,6 +231,9 @@ func (gn *GroupNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 			gn.invStd = make([]float64, n*gn.Groups)
 		}
 	}
+	// osum is LastPreActMean's sum, folded into the normalize loops: they
+	// write out in flat order, the order Tensor.Mean would re-read it in.
+	var osum float64
 	for ni := 0; ni < n; ni++ {
 		for gi := 0; gi < gn.Groups; gi++ {
 			lo := (ni*c + gi*cpg) * hw
@@ -250,20 +260,24 @@ func (gn *GroupNorm) Forward(x *tensor.Tensor, train bool) *tensor.Tensor {
 					for j := ci * hw; j < (ci+1)*hw; j++ {
 						xh := (gx[j] - mean) * inv
 						gxh[j] = xh
-						gout[j] = g*xh + be
+						o := g*xh + be
+						gout[j] = o
+						osum += o
 					}
 				}
 			} else {
 				for ci := 0; ci < cpg; ci++ {
 					g, be := gn.Gamma.Data.Data[gi*cpg+ci], gn.Beta.Data.Data[gi*cpg+ci]
 					for j := ci * hw; j < (ci+1)*hw; j++ {
-						gout[j] = g*(gx[j]-mean)*inv + be
+						o := g*(gx[j]-mean)*inv + be
+						gout[j] = o
+						osum += o
 					}
 				}
 			}
 		}
 	}
-	gn.LastPreActMean = out.Mean()
+	gn.LastPreActMean = osum / float64(len(out.Data))
 	return out
 }
 
@@ -280,21 +294,10 @@ func (gn *GroupNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 	cpg := c / gn.Groups
 	hw := h * w
 	cnt := float64(cpg * hw)
-	// Parameter gradients reduce over batch and spatial dims per channel.
-	for ni := 0; ni < n; ni++ {
-		for ci := 0; ci < c; ci++ {
-			row := (ni*c + ci) * hw
-			dyr := dy.Data[row : row+hw]
-			xhr := gn.xhat.Data[row : row+hw]
-			var sumDy, sumDyXhat float64
-			for j, g := range dyr {
-				sumDy += g
-				sumDyXhat += g * xhr[j]
-			}
-			gn.Beta.Grad.Data[ci] += sumDy
-			gn.Gamma.Grad.Data[ci] += sumDyXhat
-		}
-	}
+	// One pass per (sample, group) yields both the group sums the data
+	// gradient needs and each channel's gamma/beta addend. Per channel the
+	// addends still arrive in ascending sample order, each summed over the
+	// channel's row in flat order.
 	for ni := 0; ni < n; ni++ {
 		for gi := 0; gi < gn.Groups; gi++ {
 			lo := (ni*c + gi*cpg) * hw
@@ -302,20 +305,28 @@ func (gn *GroupNorm) Backward(dy *tensor.Tensor) *tensor.Tensor {
 			xhg := gn.xhat.Data[lo : lo+cpg*hw]
 			var sumG, sumGXhat float64
 			for ci := 0; ci < cpg; ci++ {
-				gamma := gn.Gamma.Data.Data[gi*cpg+ci]
+				ch := gi*cpg + ci
+				gamma := gn.Gamma.Data.Data[ch]
+				var sumDy, sumDyXhat float64
 				for j := ci * hw; j < (ci+1)*hw; j++ {
-					g := dyg[j] * gamma
+					d, xh := dyg[j], xhg[j]
+					sumDy += d
+					sumDyXhat += d * xh
+					g := d * gamma
 					sumG += g
-					sumGXhat += g * xhg[j]
+					sumGXhat += g * xh
 				}
+				gn.Beta.Grad.Data[ch] += sumDy
+				gn.Gamma.Grad.Data[ch] += sumDyXhat
 			}
 			inv := gn.invStd[ni*gn.Groups+gi]
+			meanG := sumG / cnt
 			dxg := dx.Data[lo : lo+cpg*hw]
 			for ci := 0; ci < cpg; ci++ {
 				gamma := gn.Gamma.Data.Data[gi*cpg+ci]
 				for j := ci * hw; j < (ci+1)*hw; j++ {
 					g := dyg[j] * gamma
-					dxg[j] = inv * (g - sumG/cnt - xhg[j]*sumGXhat/cnt)
+					dxg[j] = inv * (g - meanG - xhg[j]*sumGXhat/cnt)
 				}
 			}
 		}

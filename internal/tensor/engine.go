@@ -66,8 +66,9 @@ func SetEngine(e Engine) Engine { return Engine(curEngine.Swap(int32(e))) }
 // CurrentEngine returns the engine Conv2D and friends will dispatch to.
 func CurrentEngine() Engine { return Engine(curEngine.Load()) }
 
-// SetThreads bounds the number of goroutines a single kernel invocation may
-// fan out to. n <= 0 means "use GOMAXPROCS". Returns the previous setting.
+// SetThreads bounds the number of chunks a single kernel invocation splits
+// its work into, each run by a kernel pool worker (see parallelFor). n <= 0
+// means "use GOMAXPROCS". Returns the previous setting.
 //
 // Results are bit-identical for every thread count: parallelism only
 // partitions independent output rows / samples, never a reduction.
@@ -81,34 +82,100 @@ func Threads() int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// parallelFor splits [0,n) into at most Threads() contiguous chunks and runs
-// fn on each. With one thread (or one chunk) it runs inline, so the serial
-// path allocates nothing and single-core hosts pay no goroutine overhead.
-// Each worker receives a contiguous [lo,hi) range, letting callers hold one
-// scratch slab per worker.
-func parallelFor(n int, fn func(lo, hi int)) {
-	t := Threads()
-	if t > n {
-		t = n
+// rangeJob is one parallel kernel section: run computes items [lo,hi).
+// Jobs are small structs of the kernel's arguments, so a section needs no
+// closure.
+type rangeJob interface{ run(lo, hi int) }
+
+// kernelTask hands one chunk of a section to a pool worker.
+type kernelTask struct {
+	job    rangeJob
+	lo, hi int
+	done   *sync.WaitGroup
+}
+
+// The kernel worker pool: goroutines that run handed-off chunks. They are
+// started on first use, up to the largest Threads() any section has
+// needed, and live as long as the process, like the runtime's own workers.
+var (
+	kernelTasks = make(chan kernelTask)
+	workersMu   sync.Mutex
+	workers     atomic.Int32
+	waitGroups  = sync.Pool{New: func() any { return new(sync.WaitGroup) }}
+)
+
+// ensureWorkers starts pool workers until at least k exist.
+func ensureWorkers(k int) {
+	if int(workers.Load()) >= k {
+		return
 	}
+	workersMu.Lock()
+	defer workersMu.Unlock()
+	for int(workers.Load()) < k {
+		go func() {
+			for t := range kernelTasks {
+				t.job.run(t.lo, t.hi)
+				t.done.Done()
+			}
+		}()
+		workers.Add(1)
+	}
+}
+
+// parallelFor splits [0,n) into at most Threads() contiguous chunks and runs
+// job on each. Every chunk goes to an idle pool worker, or runs on the
+// calling goroutine when all workers are busy (with another caller's
+// section, say); the caller then waits. Handing off every chunk, rather
+// than keeping one, lets the caller's processor pick up the last-readied
+// worker the moment the caller blocks. The partition depends only on n and
+// Threads(), never on which goroutine runs a chunk, so results are
+// identical either way. Each chunk is a contiguous [lo,hi) range, letting
+// jobs hold one scratch slab per chunk. With one thread (or one chunk) it
+// runs inline. Once the workers exist no goroutine starts and, with a
+// pooled job (runPooled), nothing is allocated: steady-state training at
+// any thread count leaves no garbage behind.
+func parallelFor(n int, job rangeJob) {
+	t := min(Threads(), n)
 	if t <= 1 {
 		if n > 0 {
-			fn(0, n)
+			job.run(0, n)
 		}
 		return
 	}
+	ensureWorkers(t)
 	chunk := (n + t - 1) / t
-	var wg sync.WaitGroup
+	wg := waitGroups.Get().(*sync.WaitGroup)
 	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
+		task := kernelTask{job: job, lo: lo, hi: min(lo+chunk, n), done: wg}
 		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
+		select {
+		case kernelTasks <- task:
+		default:
+			job.run(task.lo, task.hi)
+			wg.Done()
+		}
 	}
 	wg.Wait()
+	waitGroups.Put(wg)
+}
+
+// jobPool recycles one job type's descriptors across parallel sections.
+type jobPool[J any] struct{ p sync.Pool }
+
+// runPooled runs job j over [0,n) through parallelFor from a pooled copy,
+// so the section allocates nothing once the pool is warm. The copy is
+// cleared before it goes back, so the pool pins no tensors.
+func runPooled[J any, P interface {
+	*J
+	rangeJob
+}](n int, pool *jobPool[J], j J) {
+	pj, _ := pool.p.Get().(*J)
+	if pj == nil {
+		pj = new(J)
+	}
+	*pj = j
+	parallelFor(n, P(pj))
+	var zero J
+	*pj = zero
+	pool.p.Put(pj)
 }

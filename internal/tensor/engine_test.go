@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -250,6 +251,51 @@ func TestParseEngine(t *testing.T) {
 	}
 }
 
+// TestParallelSectionsConcurrentCallers: parallel sections issued from
+// several goroutines at once share the kernel worker pool, and a chunk runs
+// on whichever goroutine is free. Every caller still gets its own result,
+// bit-identical to the single-threaded one (run under -race in CI).
+func TestParallelSectionsConcurrentCallers(t *testing.T) {
+	defer SetEngine(SetEngine(EngineGEMM))
+	defer SetThreads(SetThreads(1))
+	rng := rand.New(rand.NewSource(19))
+	s := ConvSpec{InC: 4, OutC: 6, KH: 3, KW: 3, StrideH: 1, StrideW: 2, PadH: 1, PadW: 1}
+	x := New(5, 4, 9, 11)
+	x.Randn(rng, 1)
+	w := New(6, 4, 3, 3)
+	w.Randn(rng, 1)
+	bias := New(6)
+	bias.Randn(rng, 1)
+	wantOut := Conv2D(x, w, bias, s)
+	dy := New(wantOut.Shape...)
+	dy.Randn(rng, 1)
+	wantDx, wantDw, wantDb := Conv2DBackward(x, w, dy, s)
+
+	SetThreads(3)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out := New(wantOut.Shape...)
+			for i := 0; i < 20; i++ {
+				Conv2DInto(out, x, w, bias, s)
+				dx, dw, db := New(x.Shape...), New(w.Shape...), New(6)
+				Conv2DBackwardInto(dx, dw, db, x, w, dy, s)
+				for _, c := range []struct{ want, got *Tensor }{
+					{wantOut, out}, {wantDx, dx}, {wantDw, dw}, {wantDb, db},
+				} {
+					if i, ok := bitsEqual(c.want.Data, c.got.Data); !ok {
+						t.Errorf("concurrent caller: result differs at %d (%g vs %g)", i, c.got.Data[i], c.want.Data[i])
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestKernelSteadyStateAllocs is the allocation regression test: with
 // preallocated outputs and a warm scratch arena, the GEMM kernels and
 // MatMulInto perform zero heap allocations per step (single-threaded, so
@@ -267,12 +313,6 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 	b := New(64, 48)
 	b.Randn(rng, 1)
 	dst := New(32, 48)
-	if n := testing.AllocsPerRun(20, func() { MatMulInto(dst, a, b) }); n != 0 {
-		t.Errorf("MatMulInto allocates %v times per call, want 0", n)
-	}
-	if n := testing.AllocsPerRun(20, func() { MatMul(a, b) }); n > 4 {
-		t.Errorf("MatMul allocates %v times per call, want <= 4 (result tensor only)", n)
-	}
 
 	s := ConvSpec{InC: 8, OutC: 16, KH: 3, KW: 3, StrideH: 1, StrideW: 1, PadH: 1, PadW: 1}
 	x := New(4, 8, 12, 12)
@@ -284,13 +324,32 @@ func TestKernelSteadyStateAllocs(t *testing.T) {
 	dy := New(out.Shape...)
 	dy.Randn(rng, 1)
 	dx, dw, db := New(x.Shape...), New(w.Shape...), New(16)
-	// Warm the scratch arena once, then demand zero steady-state allocs.
-	Conv2DInto(out, x, w, bias, s)
-	Conv2DBackwardInto(dx, dw, db, x, w, dy, s)
-	if n := testing.AllocsPerRun(20, func() { Conv2DInto(out, x, w, bias, s) }); n != 0 {
-		t.Errorf("Conv2DInto allocates %v times per call in steady state, want 0", n)
-	}
-	if n := testing.AllocsPerRun(20, func() { Conv2DBackwardInto(dx, dw, db, x, w, dy, s) }); n != 0 {
-		t.Errorf("Conv2DBackwardInto allocates %v times per call in steady state, want 0", n)
+	col := make([]float64, colLen(4, s, 12, 12))
+
+	// Parallel sections hand chunks to pooled workers through pooled job
+	// descriptors, so the zero holds at every thread count.
+	for _, threads := range []int{1, 2, 4} {
+		SetThreads(threads)
+		if n := testing.AllocsPerRun(20, func() { MatMulInto(dst, a, b) }); n != 0 {
+			t.Errorf("threads=%d: MatMulInto allocates %v times per call, want 0", threads, n)
+		}
+		if n := testing.AllocsPerRun(20, func() { MatMul(a, b) }); n > 4 {
+			t.Errorf("threads=%d: MatMul allocates %v times per call, want <= 4 (result tensor only)", threads, n)
+		}
+		// Warm the scratch arena once, then demand zero steady-state allocs.
+		Conv2DInto(out, x, w, bias, s)
+		Conv2DBackwardInto(dx, dw, db, x, w, dy, s)
+		if n := testing.AllocsPerRun(20, func() { Conv2DInto(out, x, w, bias, s) }); n != 0 {
+			t.Errorf("threads=%d: Conv2DInto allocates %v times per call in steady state, want 0", threads, n)
+		}
+		if n := testing.AllocsPerRun(20, func() { Conv2DBackwardInto(dx, dw, db, x, w, dy, s) }); n != 0 {
+			t.Errorf("threads=%d: Conv2DBackwardInto allocates %v times per call in steady state, want 0", threads, n)
+		}
+		// The training path's entry point: backward over the retained packing.
+		Conv2DFusedColInto(out, x, w, bias, s, false, col)
+		Conv2DBackwardColInto(dx, dw, db, col, x, w, dy, s)
+		if n := testing.AllocsPerRun(20, func() { Conv2DBackwardColInto(dx, dw, db, col, x, w, dy, s) }); n != 0 {
+			t.Errorf("threads=%d: Conv2DBackwardColInto allocates %v times per call in steady state, want 0", threads, n)
+		}
 	}
 }

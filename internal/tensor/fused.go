@@ -110,35 +110,46 @@ func Conv2DFusedColInto(out, x, weight, bias *Tensor, s ConvSpec, relu bool, col
 	if bias != nil {
 		bs = bias.Data
 	}
+	j := convFwdJob{out: out, x: x, weight: weight, bias: bs, s: s, oh: oh, ow: ow, relu: relu, colAll: colAll}
 	if Threads() <= 1 || n == 1 {
-		conv2DFusedRange(out, x, weight, bs, s, oh, ow, relu, colAll, 0, n)
+		j.run(0, n)
 		return
 	}
-	parallelFor(n, func(lo, hi int) {
-		conv2DFusedRange(out, x, weight, bs, s, oh, ow, relu, colAll, lo, hi)
-	})
+	runPooled(n, &convFwdJobs, j)
 }
 
-// conv2DFusedRange runs the fused forward lowering for samples [lo,hi),
-// packing into colAll when retained or one pooled slab otherwise.
-func conv2DFusedRange(out, x, weight *Tensor, bias []float64, s ConvSpec, oh, ow int, relu bool, colAll []float64, lo, hi int) {
+// convFwdJob runs the fused forward lowering for samples [lo,hi), packing
+// into colAll when retained or one pooled slab otherwise.
+type convFwdJob struct {
+	out, x, weight *Tensor
+	bias           []float64
+	s              ConvSpec
+	oh, ow         int
+	relu           bool
+	colAll         []float64
+}
+
+var convFwdJobs jobPool[convFwdJob]
+
+func (j *convFwdJob) run(lo, hi int) {
+	s := j.s
 	k := s.InC * s.KH * s.KW
-	m := oh * ow
+	m := j.oh * j.ow
 	var slab *slab
-	if colAll == nil {
+	if j.colAll == nil {
 		slab = getSlab(k * m)
 		defer slab.put()
 	}
 	for ni := lo; ni < hi; ni++ {
 		var col []float64
-		if colAll != nil {
-			col = colAll[ni*k*m : (ni+1)*k*m]
+		if j.colAll != nil {
+			col = j.colAll[ni*k*m : (ni+1)*k*m]
 		} else {
 			col = slab.f
 		}
-		im2colSample(col, x, ni, s, oh, ow)
-		dst := out.Data[ni*s.OutC*m : (ni+1)*s.OutC*m]
-		gemmFused(s.OutC, k, m, weight.Data, k, col, m, dst, m, bias, nil, relu)
+		im2colSample(col, j.x, ni, s, j.oh, j.ow)
+		dst := j.out.Data[ni*s.OutC*m : (ni+1)*s.OutC*m]
+		gemmFused(s.OutC, k, m, j.weight.Data, k, col, m, dst, m, j.bias, nil, j.relu)
 	}
 }
 
@@ -159,12 +170,24 @@ func LinearInto(dst, x, w, bias *Tensor, relu bool) *Tensor {
 		}
 		bs = bias.Data
 	}
+	j := linearJob{x: x.Data, w: w.Data, c: dst.Data, bias: bs, k: k, n: n, relu: relu}
 	if Threads() <= 1 || m == 1 {
-		gemmFused(m, k, n, x.Data, k, w.Data, n, dst.Data, n, nil, bs, relu)
+		j.run(0, m)
 		return dst
 	}
-	parallelFor(m, func(lo, hi int) {
-		gemmFused(hi-lo, k, n, x.Data[lo*k:], k, w.Data, n, dst.Data[lo*n:], n, nil, bs, relu)
-	})
+	runPooled(m, &linearJobs, j)
 	return dst
+}
+
+// linearJob computes rows [lo,hi) of c = act(x x w + bias).
+type linearJob struct {
+	x, w, c, bias []float64
+	k, n          int
+	relu          bool
+}
+
+var linearJobs jobPool[linearJob]
+
+func (j *linearJob) run(lo, hi int) {
+	gemmFused(hi-lo, j.k, j.n, j.x[lo*j.k:], j.k, j.w, j.n, j.c[lo*j.n:], j.n, nil, j.bias, j.relu)
 }

@@ -187,14 +187,25 @@ func MatMulInto(dst, a, b *Tensor) *Tensor {
 	if len(dst.Shape) != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmul dst %v for %v x %v", dst.Shape, a.Shape, b.Shape))
 	}
+	j := matMulJob{a: a.Data, b: b.Data, c: dst.Data, k: k, n: n}
 	if Threads() <= 1 || m == 1 {
-		gemmBlocked(m, k, n, a.Data, k, b.Data, n, dst.Data, n, true)
+		j.run(0, m)
 		return dst
 	}
-	parallelFor(m, func(lo, hi int) {
-		gemmBlocked(hi-lo, k, n, a.Data[lo*k:], k, b.Data, n, dst.Data[lo*n:], n, true)
-	})
+	runPooled(m, &matMulJobs, j)
 	return dst
+}
+
+// matMulJob computes rows [lo,hi) of c = a x b (a is [m,k], b is [k,n]).
+type matMulJob struct {
+	a, b, c []float64
+	k, n    int
+}
+
+var matMulJobs jobPool[matMulJob]
+
+func (j *matMulJob) run(lo, hi int) {
+	gemmBlocked(hi-lo, j.k, j.n, j.a[lo*j.k:], j.k, j.b, j.n, j.c[lo*j.n:], j.n, true)
 }
 
 // AddMatMulNT accumulates dst[m,n] += a[m,k] x b[n,k]^T.
@@ -205,13 +216,25 @@ func AddMatMulNT(dst, a, b *Tensor) {
 		len(dst.Shape) != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmulNT shapes %v x %v^T -> %v", a.Shape, b.Shape, dst.Shape))
 	}
+	j := matMulNTJob{a: a.Data, b: b.Data, c: dst.Data, k: k, n: n}
 	if Threads() <= 1 || m == 1 {
-		gemmNTAcc(m, k, n, a.Data, k, b.Data, k, dst.Data, n)
+		j.run(0, m)
 		return
 	}
-	parallelFor(m, func(lo, hi int) {
-		gemmNTAcc(hi-lo, k, n, a.Data[lo*k:], k, b.Data, k, dst.Data[lo*n:], n)
-	})
+	runPooled(m, &matMulNTJobs, j)
+}
+
+// matMulNTJob accumulates rows [lo,hi) of c += a x b^T (a is [m,k], b is
+// [n,k]).
+type matMulNTJob struct {
+	a, b, c []float64
+	k, n    int
+}
+
+var matMulNTJobs jobPool[matMulNTJob]
+
+func (j *matMulNTJob) run(lo, hi int) {
+	gemmNTAcc(hi-lo, j.k, j.n, j.a[lo*j.k:], j.k, j.b, j.k, j.c[lo*j.n:], j.n)
 }
 
 // AddMatMulTN accumulates dst[m,n] += a[k,m]^T x b[k,n].
@@ -222,11 +245,23 @@ func AddMatMulTN(dst, a, b *Tensor) {
 		len(dst.Shape) != 2 || dst.Shape[0] != m || dst.Shape[1] != n {
 		panic(fmt.Sprintf("tensor: matmulTN shapes %v^T x %v -> %v", a.Shape, b.Shape, dst.Shape))
 	}
+	j := matMulTNJob{a: a.Data, b: b.Data, c: dst.Data, k: k, m: m, n: n}
 	if Threads() <= 1 || m == 1 {
-		gemmTNAcc(0, m, k, n, a.Data, m, b.Data, n, dst.Data, n)
+		j.run(0, m)
 		return
 	}
-	parallelFor(m, func(lo, hi int) {
-		gemmTNAcc(lo, hi, k, n, a.Data, m, b.Data, n, dst.Data, n)
-	})
+	runPooled(m, &matMulTNJobs, j)
+}
+
+// matMulTNJob accumulates rows [lo,hi) of c += a^T x b (a is [k,m], b is
+// [k,n]).
+type matMulTNJob struct {
+	a, b, c []float64
+	k, m, n int
+}
+
+var matMulTNJobs jobPool[matMulTNJob]
+
+func (j *matMulTNJob) run(lo, hi int) {
+	gemmTNAcc(lo, hi, j.k, j.n, j.a, j.m, j.b, j.n, j.c, j.n)
 }

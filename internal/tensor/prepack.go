@@ -50,22 +50,28 @@ func Conv2DFromColInto(out *Tensor, col []float64, weight, bias *Tensor, s ConvS
 	if bias != nil {
 		bs = bias.Data
 	}
-	k := s.InC * s.KH * s.KW
-	m := oh * ow
-	// Closure only on the parallel path: the single-thread fast path must
-	// not heap-allocate (the grouped MBS executor's 0-alloc contract).
+	j := convFromColJob{out: out.Data, col: col, weight: weight.Data, bias: bs,
+		outC: s.OutC, k: s.InC * s.KH * s.KW, m: oh * ow, relu: relu}
 	if Threads() <= 1 || n == 1 {
-		conv2DFromColRange(out, col, weight.Data, bs, s, k, m, relu, 0, n)
+		j.run(0, n)
 		return
 	}
-	parallelFor(n, func(lo, hi int) {
-		conv2DFromColRange(out, col, weight.Data, bs, s, k, m, relu, lo, hi)
-	})
+	runPooled(n, &convFromColJobs, j)
 }
 
-func conv2DFromColRange(out *Tensor, col, weight, bs []float64, s ConvSpec, k, m int, relu bool, lo, hi int) {
+// convFromColJob computes samples [lo,hi) of out = act(W*col + bias) from
+// the prepacked im2col panels.
+type convFromColJob struct {
+	out, col, weight, bias []float64
+	outC, k, m             int
+	relu                   bool
+}
+
+var convFromColJobs jobPool[convFromColJob]
+
+func (j *convFromColJob) run(lo, hi int) {
+	km, om := j.k*j.m, j.outC*j.m
 	for ni := lo; ni < hi; ni++ {
-		dst := out.Data[ni*s.OutC*m : (ni+1)*s.OutC*m]
-		gemmFused(s.OutC, k, m, weight, k, col[ni*k*m:(ni+1)*k*m], m, dst, m, bs, nil, relu)
+		gemmFused(j.outC, j.k, j.m, j.weight, j.k, j.col[ni*km:(ni+1)*km], j.m, j.out[ni*om:(ni+1)*om], j.m, j.bias, nil, j.relu)
 	}
 }
